@@ -15,7 +15,8 @@
 //!   payload_hash u64 (FNV-1a over the payload bytes)
 //!   payload:
 //!     fcm config    (13 u64 fields, 2 bool bytes, 1 f64, 1 u64 seed)
-//!     hybrid config (u64 bits, u32 radius, f64 slack, u64 seed)
+//!     hybrid config (u64 bits, u32 radius, f64 slack, u64 seed,
+//!                    u64 reserved = 0)
 //!     model weights (lcdd_tensor::io::write_params block)
 //!     n_shards u64
 //!     order    u64 count; per live table: u32 shard, u32 slot
@@ -258,17 +259,20 @@ pub(crate) fn write_hybrid_config<W: Write>(
     wu32(w, c.lsh_radius)?;
     wf64(w, c.range_slack)?;
     wu64(w, c.seed)?;
-    wusize(w, c.ivf_nprobe)
+    // Reserved: the retired IVF tier's `ivf_nprobe`. Written as 0 and
+    // skipped on read, so files from earlier builds still open.
+    wu64(w, 0)
 }
 
 pub(crate) fn read_hybrid_config<R: Read>(r: &mut R) -> Result<HybridConfig, EngineError> {
-    Ok(HybridConfig {
+    let cfg = HybridConfig {
         lsh_bits: rusize(r)?,
         lsh_radius: ru32(r)?,
         range_slack: rf64(r)?,
         seed: ru64(r)?,
-        ivf_nprobe: rusize(r)?,
-    })
+    };
+    ru64(r)?; // reserved, see `write_hybrid_config`
+    Ok(cfg)
 }
 
 // ---- v2: shard sections --------------------------------------------------

@@ -164,50 +164,24 @@ impl Backend {
 
     /// Current published epoch.
     pub fn epoch(&self) -> u64 {
-        match self {
-            Backend::Serving(s) => s.epoch(),
-            Backend::Durable(d) => d.epoch(),
-            Backend::Replica(f) => f.epoch(),
-        }
+        self.pin().state.epoch()
     }
 
     /// Live tables in the published state.
     pub fn tables(&self) -> usize {
-        match self {
-            Backend::Serving(s) => s.len(),
-            Backend::Durable(d) => d.len(),
-            Backend::Replica(f) => f.store().len(),
-        }
+        self.pin().state.len()
     }
 
     /// Shard count of the published state.
     pub fn shards(&self) -> usize {
-        match self {
-            Backend::Serving(s) => s.snapshot().shards().len(),
-            Backend::Durable(d) => d.snapshot().shards().len(),
-            Backend::Replica(f) => f.snapshot().shards().len(),
-        }
+        self.pin().state.shards().len()
     }
 
     /// Hot/cold corpus-tier residency of the published state (lock-free:
     /// one snapshot load plus per-shard counter reads — nothing on the
     /// serving path is contended).
     pub fn tier_stats(&self) -> TierStats {
-        match self {
-            Backend::Serving(s) => s.snapshot().tier_stats(),
-            Backend::Durable(d) => d.snapshot().tier_stats(),
-            Backend::Replica(f) => f.snapshot().tier_stats(),
-        }
-    }
-
-    /// The IVF probe width this backend serves `strategy=ivf` queries
-    /// with.
-    pub fn ivf_nprobe(&self) -> usize {
-        match self {
-            Backend::Serving(s) => s.hybrid_config().ivf_nprobe,
-            Backend::Durable(d) => d.hybrid_config().ivf_nprobe,
-            Backend::Replica(f) => f.store().hybrid_config().ivf_nprobe,
-        }
+        self.pin().state.tier_stats()
     }
 
     /// Query-cache counters (lock-free).

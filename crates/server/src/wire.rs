@@ -189,13 +189,10 @@ pub fn parse_search(
                 "interval" => IndexStrategy::IntervalOnly,
                 "lsh" => IndexStrategy::LshOnly,
                 "none" => IndexStrategy::NoIndex,
-                "ivf" => IndexStrategy::Ivf,
                 other => {
                     return Err(bad(
                         "invalid_strategy",
-                        format!(
-                            "unknown strategy '{other}'; expected hybrid|interval|lsh|none|ivf"
-                        ),
+                        format!("unknown strategy '{other}'; expected hybrid|interval|lsh|none"),
                     ))
                 }
             }
@@ -435,7 +432,7 @@ pub fn search_body(
         concat!(
             "{{\"epoch\":{},\"strategy\":{},\"cached\":{},",
             "\"hits\":[{}],",
-            "\"counts\":{{\"total\":{},\"after_interval\":{},\"after_lsh\":{},\"after_ann\":{},",
+            "\"counts\":{{\"total\":{},\"after_interval\":{},\"after_lsh\":{},",
             "\"quant_scanned\":{},\"reranked\":{},\"scored\":{}}},",
             "\"timings_us\":{{\"extract\":{},\"encode\":{},\"prune\":{},\"score\":{},\"total\":{}}},",
             "\"batch\":{{\"id\":{},\"size\":{},\"unique\":{}}}}}"
@@ -447,7 +444,6 @@ pub fn search_body(
         resp.counts.total,
         opt_usize(resp.counts.after_interval),
         opt_usize(resp.counts.after_lsh),
-        opt_usize(resp.counts.after_ann),
         opt_usize(resp.counts.quant_scanned),
         opt_usize(resp.counts.reranked),
         resp.counts.scored,
@@ -485,7 +481,6 @@ pub fn strategy_name(s: IndexStrategy) -> &'static str {
         IndexStrategy::IntervalOnly => "interval",
         IndexStrategy::LshOnly => "lsh",
         IndexStrategy::NoIndex => "none",
-        IndexStrategy::Ivf => "ivf",
     }
 }
 
@@ -570,17 +565,14 @@ mod tests {
             code(parse_search(&req(r#"{"series":[[1,2]],"k":2.5}"#), max.0, max.1).unwrap_err()),
             "invalid_k"
         );
-        assert_eq!(
-            code(
-                parse_search(
-                    &req(r#"{"series":[[1,2]],"strategy":"warp"}"#),
-                    max.0,
-                    max.1
-                )
-                .unwrap_err()
-            ),
-            "invalid_strategy"
-        );
+        for strategy in ["warp", "ivf"] {
+            let body = format!(r#"{{"series":[[1,2]],"strategy":"{strategy}"}}"#);
+            assert_eq!(
+                code(parse_search(&req(&body), max.0, max.1).unwrap_err()),
+                "invalid_strategy",
+                "strategy {strategy:?}"
+            );
+        }
         assert_eq!(
             code(
                 parse_search(

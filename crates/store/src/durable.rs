@@ -551,11 +551,6 @@ impl DurableEngine {
         self.serving.model()
     }
 
-    /// The serving index configuration (observability pass-through).
-    pub fn hybrid_config(&self) -> &lcdd_engine::HybridConfig {
-        self.serving.hybrid_config()
-    }
-
     /// Exports the published state as a plain `LCDDSNP2` snapshot file
     /// (readable by [`lcdd_engine::Engine::load`] — a portable backup,
     /// independent of the store directory).

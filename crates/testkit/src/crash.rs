@@ -14,6 +14,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use lcdd_engine::{Engine, IndexStrategy, Query, SearchOptions};
 use lcdd_store::{DurableEngine, StoreOptions};
@@ -296,6 +297,12 @@ pub struct CrashCase {
 ///
 /// Returns the number of crash points exercised.
 pub fn run_crash_boundary_case(case: &CrashCase) -> usize {
+    // The encode counter is process-wide: a case running beside another
+    // would see the sibling's encodes as its own recovery's. Cases in one
+    // process therefore run one at a time (a panicked case only poisons
+    // the lock; the counter it guards stays meaningful).
+    static SERIAL: Mutex<()> = Mutex::new(());
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let tmp = TempDir::new(&format!("crash-{:x}", case.seed));
     let live_dir = tmp.subdir("live");
     let base = corpus(&CorpusSpec::sized(case.seed, case.n_base));
