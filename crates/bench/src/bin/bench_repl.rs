@@ -1,6 +1,7 @@
 //! Replication benchmark emitter: shipping lag vs ingest rate, follower
 //! catch-up vs WAL backlog, and failover time vs corpus size. Writes
-//! `BENCH_repl.json`.
+//! `BENCH_repl.json` under the shared envelope (host, git revision,
+//! generation time; see `lcdd_bench::envelope`).
 //!
 //! Three sections:
 //!
@@ -269,10 +270,11 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"group\": \"bench_repl\",\n  \
+        "{{\n  \"group\": \"bench_repl\",\n  {},\n  \
          \"lag_vs_ingest\": [\n{}\n  ],\n  \
          \"catchup_vs_backlog\": [\n{}\n  ],\n  \
          \"failover\": [\n{}\n  ]\n}}\n",
+        lcdd_bench::envelope::envelope_fields(),
         lag_json.join(",\n"),
         catchup_json.join(",\n"),
         failover_json.join(",\n"),

@@ -16,7 +16,8 @@ pub enum EngineError {
     /// A weight file restored fewer (or differently shaped) parameters
     /// than the model defines — almost always a config mismatch.
     WeightMismatch { expected: usize, restored: usize },
-    /// A snapshot file is malformed, truncated, or from an unknown version.
+    /// Persisted engine bytes (a segment image, meta section or insert
+    /// batch) are malformed, truncated, or from an unknown version.
     Snapshot(String),
     /// A write-ahead-log file is malformed: a record fails its checksum,
     /// the framing is inconsistent, or replay diverges from the recorded
@@ -51,7 +52,7 @@ impl fmt::Display for EngineError {
                 f,
                 "weight file restored {restored} of {expected} parameters; config mismatch?"
             ),
-            EngineError::Snapshot(msg) => write!(f, "bad engine snapshot: {msg}"),
+            EngineError::Snapshot(msg) => write!(f, "bad engine image: {msg}"),
             EngineError::Wal(msg) => write!(f, "bad write-ahead log: {msg}"),
             EngineError::Store(msg) => write!(f, "inconsistent durable store: {msg}"),
             EngineError::Replication(msg) => write!(f, "replication: {msg}"),

@@ -13,7 +13,7 @@ use crate::state::{EngineShared, EngineState};
 
 /// Builds an [`Engine`] from a model and a corpus. The expensive steps
 /// (parallel repository encoding, index construction) run once in
-/// [`EngineBuilder::build`]; afterwards — or after [`Engine::load`] — no
+/// [`EngineBuilder::build`]; afterwards — or after a store restore — no
 /// query ever re-encodes the repository, and live mutation
 /// ([`Engine::insert_tables`] / [`Engine::remove_tables`]) encodes only its
 /// delta.
@@ -94,6 +94,8 @@ impl EngineBuilder {
     /// constructs each shard's hybrid index.
     pub fn build(self) -> Result<Engine, EngineError> {
         self.model.config.validated()?;
+        check_hybrid_config(&self.hybrid)
+            .map_err(|m| EngineError::InvalidConfig(format!("hybrid_config: {m}")))?;
         if self.n_shards == 0 {
             return Err(EngineError::InvalidConfig(
                 "shards: shard count must be at least 1".into(),
@@ -122,6 +124,17 @@ impl EngineBuilder {
         };
         Ok(Engine::from_parts(shared, state))
     }
+}
+
+/// Checks the [`HybridConfig`] fields index construction would otherwise
+/// assert on: the LSH signature width must be `1..=64`. Shared by
+/// [`EngineBuilder::build`] and the store's meta-section parser, which map
+/// the message to their own error kinds.
+pub(crate) fn check_hybrid_config(cfg: &HybridConfig) -> Result<(), String> {
+    if !(1..=64).contains(&cfg.lsh_bits) {
+        return Err(format!("lsh_bits ({}) must be in 1..=64", cfg.lsh_bits));
+    }
+    Ok(())
 }
 
 /// Wraps bare tables as [`RepoEntry`] values with plain one-line-per-column

@@ -20,7 +20,7 @@
 use lcdd_fcm::{EngineError, FcmModel};
 use lcdd_index::{CandidateSet, HybridConfig, IndexStrategy};
 use lcdd_table::Table;
-use lcdd_tensor::{pool, Matrix};
+use lcdd_tensor::pool;
 use lcdd_vision::{ExtractedChart, VisualElementExtractor};
 
 use crate::shard::EngineShard;
@@ -44,7 +44,8 @@ pub const DEFAULT_COMPACTION_THRESHOLD: f64 = 0.3;
 /// (cached encodings + hybrid index each), behind one `search` call.
 ///
 /// Construction goes through [`crate::EngineBuilder`] (ingest → encode →
-/// index) or [`Engine::load`] (snapshot restore). Queries need only `&self`
+/// index) or a store restore (`lcdd_store::DurableEngine::open`, built on
+/// [`crate::persist::assemble_engine`]). Queries need only `&self`
 /// and the engine is `Sync`, so one instance serves concurrent reads;
 /// [`Engine::search_batch`] fans a batch across the shared work pool.
 /// Corpus mutation goes through [`Engine::insert_tables`] /
@@ -115,13 +116,7 @@ impl Engine {
         &self.shared.hybrid_cfg
     }
 
-    /// The global repository-mean pooled table embedding (the matcher's
-    /// centering reference).
-    pub fn pooled_mean(&self) -> &Matrix {
-        self.state.pooled_mean()
-    }
-
-    /// Replaces the visual element extractor (snapshots restore with the
+    /// Replaces the visual element extractor (stores restore with the
     /// oracle extractor; serving raw [`Query::Chart`] images needs a
     /// trained one).
     pub fn set_extractor(&mut self, extractor: VisualElementExtractor) {
@@ -197,7 +192,7 @@ impl Engine {
 
     /// Compacts every shard holding tombstones, reclaiming dead slots and
     /// rebuilding the affected indexes over the live survivors. After
-    /// compaction the engine is bit-identical (including snapshot bytes) to
+    /// compaction the engine is bit-identical (including its persisted image) to
     /// one freshly built over its live tables in the same order and shard
     /// layout.
     pub fn compact(&mut self) {

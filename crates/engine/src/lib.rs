@@ -32,11 +32,12 @@
 //! via [`Engine::compact`]).
 //!
 //! [`Engine::search_batch`] fans a query batch across the shared work
-//! pool; [`Engine::save`] / [`Engine::load`] persist model weights, cached
-//! repository encodings and index structures together (`LCDDSNP2`:
-//! per-shard sections behind a checksummed, versioned header — legacy
-//! `LCDDSNP1` snapshots still load), so a serving process restarts without
-//! re-encoding the corpus.
+//! pool. Persistence lives in one place: [`persist`] owns the engine's
+//! byte layout (meta section, WAL insert batches, `LCDDSEG2` segments),
+//! and `lcdd_store::DurableEngine::create` / `DurableEngine::open` are the
+//! only way an engine is saved or restored — model weights and cached
+//! repository encodings come back without re-encoding the corpus, and the
+//! indexes are rebuilt deterministically from them.
 //!
 //! **Concurrent serving** wraps the same machinery in a
 //! [`ServingEngine`]: the corpus lives in an immutable, epoch-versioned
@@ -50,7 +51,7 @@
 //! memoizes repeat queries and is invalidated by each publish.
 //!
 //! Errors are surfaced as [`EngineError`] values — no panics on bad
-//! configs, corrupt snapshots, empty or degenerate queries (blank images,
+//! configs, corrupt persisted bytes, empty or degenerate queries (blank images,
 //! constant or NaN-laced series — fuzzed by the degenerate-query suite).
 //! Production code in this crate is `unwrap`-free by construction (the
 //! lint below is enforced in CI); tests keep `unwrap` where a backtrace
@@ -65,7 +66,6 @@ pub mod mapped;
 pub mod persist;
 pub mod serving;
 pub mod shard;
-pub mod snapshot;
 pub mod state;
 pub mod swap;
 pub mod types;

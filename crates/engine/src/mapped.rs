@@ -62,8 +62,8 @@ use lcdd_fcm::EngineError;
 use lcdd_tensor::Matrix;
 
 use crate::engine::TableMeta;
+use crate::persist::{fnv1a64, MAX_FIELD_BYTES};
 use crate::shard::{column_embedding_of, PooledStat, SlotData};
-use crate::snapshot::{fnv1a64, MAX_FIELD_BYTES};
 
 pub(crate) const IMAGE_MAGIC: &[u8; 8] = b"LCDDSEG2";
 pub(crate) const IMAGE_FORMAT: u32 = 1;

@@ -97,7 +97,8 @@ impl ServingEngine {
     }
 
     /// Tears the serving wrapper back down to a plain [`Engine`] (e.g. to
-    /// snapshot with [`Engine::save`] or hand to single-threaded code).
+    /// persist with `lcdd_store::DurableEngine::create` or hand to
+    /// single-threaded code).
     pub fn into_engine(self) -> Engine {
         let threshold = f64::from_bits(self.compaction_threshold.load(Ordering::Relaxed));
         let state = self
@@ -348,13 +349,5 @@ impl ServingEngine {
     /// Lock-free like the rest of the read API.
     pub fn compaction_threshold(&self) -> f64 {
         f64::from_bits(self.compaction_threshold.load(Ordering::Relaxed))
-    }
-
-    /// Writes the current snapshot to a file in the engine snapshot format
-    /// (readable by [`Engine::load`]).
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), EngineError> {
-        let file = std::fs::File::create(path)?;
-        let state = self.snapshot();
-        crate::snapshot::write_snapshot_v2(&self.shared, &state, std::io::BufWriter::new(file))
     }
 }

@@ -168,8 +168,8 @@ pub struct EngineShard {
 }
 
 impl EngineShard {
-    /// Assembles a shard from slot data (build, reshard and snapshot-load
-    /// all come through here).
+    /// Assembles a shard from slot data (build, reshard and store
+    /// restore all come through here).
     pub(crate) fn from_slots(slots: Vec<SlotData>, embed_dim: usize, cfg: HybridConfig) -> Self {
         let mut meta = Vec::with_capacity(slots.len());
         let mut tables = Vec::with_capacity(slots.len());

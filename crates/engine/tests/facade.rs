@@ -3,7 +3,7 @@
 //! deterministic `lcdd_testkit` corpus (these tests used to live inline in
 //! `src/lib.rs` on ad-hoc `tiny_tables()` copies).
 
-use lcdd_engine::{EngineBuilder, EngineError, IndexStrategy, Query, SearchOptions};
+use lcdd_engine::{EngineBuilder, EngineError, HybridConfig, IndexStrategy, Query, SearchOptions};
 use lcdd_fcm::{FcmConfig, FcmModel};
 use lcdd_testkit::{assert_same_hits, tiny_corpus, tiny_engine, tiny_query};
 
@@ -140,6 +140,25 @@ fn zero_shards_is_reported_not_panicked() {
     match builder.build() {
         Err(EngineError::InvalidConfig(msg)) => assert!(msg.contains("shard")),
         other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
+    }
+}
+
+#[test]
+fn out_of_range_lsh_bits_is_reported_not_panicked() {
+    for lsh_bits in [0usize, 65] {
+        let builder = EngineBuilder::new(FcmModel::new(FcmConfig::tiny()))
+            .hybrid_config(HybridConfig {
+                lsh_bits,
+                ..HybridConfig::default()
+            })
+            .ingest_tables(tiny_corpus(2));
+        match builder.build() {
+            Err(EngineError::InvalidConfig(msg)) => assert!(msg.contains("lsh_bits"), "{msg}"),
+            other => panic!(
+                "lsh_bits {lsh_bits}: expected InvalidConfig, got {:?}",
+                other.map(|_| ())
+            ),
+        }
     }
 }
 

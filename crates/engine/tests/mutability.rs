@@ -1,9 +1,11 @@
 //! Live corpus mutation: insert/remove round-trips, tombstone + compaction
 //! behaviour, and the pooled-mean centering discipline under mutation.
 
-use lcdd_engine::{Engine, IndexStrategy, SearchOptions};
+use lcdd_engine::{IndexStrategy, SearchOptions};
 use lcdd_table::Table;
-use lcdd_testkit::{assert_same_hits, corpus, query_like, tiny_engine, CorpusSpec};
+use lcdd_testkit::{
+    assert_same_hits, corpus, persisted_image, query_like, tiny_engine, CorpusSpec,
+};
 use proptest::prelude::*;
 
 const CASES: u32 = if cfg!(debug_assertions) { 3 } else { 10 };
@@ -21,12 +23,6 @@ fn delta_batch(seed: u64, n_delta: usize) -> Vec<Table> {
         .collect()
 }
 
-fn snapshot_bytes(engine: &Engine) -> Vec<u8> {
-    let mut buf = Vec::new();
-    engine.save_to(&mut buf).unwrap();
-    buf
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
@@ -39,7 +35,7 @@ proptest! {
     ) {
         let tables = corpus(&CorpusSpec::sized(seed, n_tables));
         let mut engine = tiny_engine(tables.clone(), n_shards);
-        let before_bytes = snapshot_bytes(&engine);
+        let before_bytes = persisted_image(&engine);
         let q = query_like(&tables[0]);
         let opts = SearchOptions::top_k(n_tables);
         let before_resp = engine.search(&q, &opts).unwrap();
@@ -65,7 +61,7 @@ proptest! {
             &after_resp,
         );
         prop_assert_eq!(
-            snapshot_bytes(&engine),
+            persisted_image(&engine),
             before_bytes,
             "snapshot bytes must match the pre-insert engine after compaction"
         );

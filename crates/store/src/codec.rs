@@ -2,14 +2,15 @@
 //! store file uses.
 //!
 //! A *framed file* is `magic (8 bytes) | version u32 | payload_len u64 |
-//! payload_hash u64 (FNV-1a) | payload` — the same envelope `LCDDSNP2`
-//! snapshots carry, so every store artifact (segment, meta section,
-//! manifest) gets total corruption detection: truncation and bit flips
-//! anywhere surface as typed [`EngineError`]s, never a panic and never
-//! silently different state.
+//! payload_hash u64 (FNV-1a) | payload`, so every store artifact
+//! (segment, meta section, manifest) gets total corruption detection:
+//! truncation and bit flips anywhere surface as typed [`EngineError`]s,
+//! never a panic and never silently different state.
 //!
-//! These primitives deliberately do *not* reuse the `lcdd_engine`
-//! snapshot codec helpers: those operate on `impl Read` and classify
+//! The frame wraps payloads whose layout belongs to
+//! `lcdd_engine::persist` (meta section, segments) or to this crate
+//! (manifest, WAL records). These primitives deliberately do *not* reuse
+//! the `persist` readers: those operate on `impl Read` and classify
 //! failures as `Io`/`Snapshot`, while store files want slice-bounded
 //! reads with offset-carrying [`EngineError::Store`] messages. The only
 //! contract the two sides share is the little-endian layout and

@@ -1,4 +1,10 @@
-//! [`DurableEngine`]: the serving engine with a durability contract.
+//! [`DurableEngine`]: the serving engine with a durability contract, and
+//! the only way an engine is saved or restored. [`DurableEngine::create`]
+//! persists an engine as a store directory (meta section + one segment
+//! per shard + an empty WAL + a manifest); [`DurableEngine::open`]
+//! restores it — eagerly or as a mapped cold tier — and
+//! [`DurableEngine::into_serving`] hands the restored engine back for
+//! unlogged use. The byte layout itself lives in `lcdd_engine::persist`.
 //!
 //! Wraps a [`ServingEngine`] so that every corpus mutation is **logged
 //! before it is published**: the op (with its already-encoded FCM delta)
@@ -57,7 +63,6 @@ use lcdd_engine::{
     CacheStats, EngineError, EngineShard, EngineState, Query, SearchOptions, SearchResponse,
     ServingEngine, DEFAULT_COMPACTION_THRESHOLD,
 };
-use lcdd_fcm::FcmModel;
 use lcdd_table::Table;
 
 use crate::codec::{read_framed, sync_dir, write_framed, wstr, wu64, SliceReader};
@@ -381,9 +386,8 @@ impl DurableEngine {
     /// the logged encodings back in without invoking the FCM encoder
     /// (`lcdd_fcm::table_encode_count` is flat across this call).
     ///
-    /// Like [`lcdd_engine::Engine::load`], serving configuration is not
-    /// corpus state: the recovered engine uses the oracle extractor and
-    /// the default compaction threshold.
+    /// Serving configuration is not corpus state: the recovered engine
+    /// uses the oracle extractor and the default compaction threshold.
     pub fn open(
         dir: impl AsRef<Path>,
         opts: StoreOptions,
@@ -546,31 +550,9 @@ impl DurableEngine {
         self.serving.is_empty()
     }
 
-    /// The trained model serving this engine.
-    pub fn model(&self) -> &FcmModel {
-        self.serving.model()
-    }
-
-    /// Exports the published state as a plain `LCDDSNP2` snapshot file
-    /// (readable by [`lcdd_engine::Engine::load`] — a portable backup,
-    /// independent of the store directory).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), EngineError> {
-        self.serving.save(path)
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Current WAL length in bytes (including the file header).
     pub fn wal_len(&self) -> u64 {
         self.lock().wal.len()
-    }
-
-    /// The durability policy in effect.
-    pub fn options(&self) -> &StoreOptions {
-        &self.opts
     }
 
     // ---- write side ------------------------------------------------------

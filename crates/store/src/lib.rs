@@ -1,10 +1,12 @@
 //! # lcdd-store
 //!
 //! Durability for the serving engine: a write-ahead log, a segmented
-//! snapshot store with incremental checkpoints, and crash recovery — so a
-//! crashed or restarted discovery server recovers its **exact** corpus
+//! checkpoint store with incremental checkpoints, and crash recovery — so
+//! a crashed or restarted discovery server recovers its **exact** corpus
 //! (hit-for-hit, bit-identical scores) without re-encoding a single
-//! table.
+//! table. A store directory is the engine's only on-disk format:
+//! [`DurableEngine::create`] saves an engine, [`DurableEngine::open`]
+//! restores it.
 //!
 //! ```text
 //! store-dir/

@@ -1,8 +1,8 @@
 //! Corruption sweeps over the store's on-disk formats: bit flips and
-//! truncations of WAL files, manifests and segments must surface as typed
-//! [`EngineError`] values (`Wal` / `Store` / `Snapshot`) or recover to a
-//! valid op prefix — **never** a panic and never a silently different
-//! corpus.
+//! truncations of WAL files, manifests, segments and the meta section
+//! must surface as typed [`EngineError`] values (`Wal` / `Store` /
+//! `Snapshot`) or recover to a valid op prefix — **never** a panic and
+//! never a silently different corpus.
 //!
 //! The sweep verdict for each damaged store:
 //!
@@ -240,6 +240,44 @@ fn segment_and_meta_corruption_is_typed() {
                 Ok(_) => panic!("{name} flip byte {off}: corrupt file accepted"),
             }
             std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}
+
+#[test]
+fn segment_and_meta_truncation_is_typed() {
+    let world = build_world("segcut");
+    let (_, manifest) = latest_manifest(&world.golden)
+        .expect("manifest readable")
+        .expect("manifest present");
+    let mut files = manifest.segments.clone();
+    files.push(manifest.meta_file.clone());
+    for name in &files {
+        let len = file_len(&world.golden.join(name));
+        // Inside the frame header (magic, version, length, checksum), at
+        // the payload start, mid-payload and one byte short of the end.
+        let mut cuts: Vec<u64> = [4, 12, 20, 28, len / 2, len - 1].to_vec();
+        cuts.retain(|&c| c < len);
+        cuts.dedup();
+        for &cut in &cuts {
+            for cold_open in [false, true] {
+                let dir = world.tmp.subdir(&format!("cut-{name}-{cut}-{cold_open}"));
+                copy_dir(&world.golden, &dir);
+                truncate_file(&dir.join(name), cut);
+                let what = format!("{name} cut at {cut} (cold {cold_open})");
+                match DurableEngine::open(
+                    &dir,
+                    StoreOptions {
+                        cold_open,
+                        ..opts()
+                    },
+                ) {
+                    Err(EngineError::Store(_) | EngineError::Snapshot(_)) => {}
+                    Err(other) => panic!("{what}: expected Store/Snapshot error, got {other}"),
+                    Ok(_) => panic!("{what}: truncated file accepted"),
+                }
+                std::fs::remove_dir_all(&dir).ok();
+            }
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Regression pinning the tombstone/compaction recovery semantics: an
-//! engine saved (or checkpointed, or WAL-recovered) after `remove_tables`
-//! but **before** `compact()` must serve identical results on every
-//! recovery path, even though the paths disagree about physical layout —
-//! WAL replay reconstructs the tombstoned engine, while snapshots and
-//! checkpoint segments are live-only (tombstones compacted away on
-//! write).
+//! engine checkpointed (or WAL-recovered) after `remove_tables` but
+//! **before** `compact()` must serve identical results on every recovery
+//! path, even though the paths disagree about physical layout — WAL
+//! replay reconstructs the tombstoned engine, while checkpoint segments
+//! are live-only (tombstones compacted away on write), whether they are
+//! decoded eagerly or served mapped by a cold open.
 //!
 //! Identical means: hit-for-hit, bit-identical scores, identical
 //! per-stage provenance counts — and *staying* identical as further
@@ -87,7 +87,7 @@ fn save_after_remove_before_compact_recovers_identically_on_every_path() {
     let durable = DurableEngine::create(&live_dir, tiny_engine(base.clone(), N_SHARDS), opts())
         .expect("store creation");
     // Disable auto-compaction so the tombstones are guaranteed to be
-    // pending when the saves happen.
+    // pending when the checkpoint happens.
     durable.set_compaction_threshold(1.0);
 
     durable.insert_tables(extras(3)).expect("insert extras");
@@ -116,23 +116,33 @@ fn save_after_remove_before_compact_recovers_identically_on_every_path() {
     assert_eq!(report.replayed_ops, 2);
     assert_eq!(via_wal.epoch(), oracle.epoch(), "WAL recovery keeps epochs");
 
-    // Path B: plain snapshot save/load (live-only bytes, tombstones
-    // compacted away).
-    let snap_path = tmp.subdir("snapshot.lcdd");
-    durable.save(&snap_path).expect("snapshot save");
-    let mut via_snapshot = Engine::load(&snap_path).expect("snapshot load");
-    assert!(
-        via_snapshot.shards().iter().all(|sh| sh.n_dead() == 0),
-        "snapshots are live-only by design"
-    );
-
-    // Path C: checkpoint then recover from segments (live-only, empty WAL).
+    // Path B: checkpoint then recover from segments (live-only, empty WAL).
     durable.checkpoint().expect("checkpoint");
     let ckpt_dir = tmp.subdir("ckpt-crash");
     copy_dir(&live_dir, &ckpt_dir);
     let (via_ckpt, report) = DurableEngine::open(&ckpt_dir, opts()).expect("checkpoint recovery");
     assert_eq!(report.replayed_ops, 0);
     assert_eq!(via_ckpt.epoch(), oracle.epoch());
+    assert!(
+        via_ckpt
+            .snapshot()
+            .shards()
+            .iter()
+            .all(|sh| sh.n_dead() == 0),
+        "checkpoint segments are live-only by design"
+    );
+
+    // Path C: the same checkpoint opened cold (segments mapped, slots
+    // paged in on demand).
+    let cold_dir = tmp.subdir("cold-crash");
+    copy_dir(&live_dir, &cold_dir);
+    let cold_opts = StoreOptions {
+        cold_open: true,
+        ..opts()
+    };
+    let (via_cold, report) = DurableEngine::open(&cold_dir, cold_opts).expect("cold recovery");
+    assert_eq!(report.replayed_ops, 0);
+    assert_eq!(via_cold.epoch(), oracle.epoch());
 
     assert_all_same(
         "WAL replay vs live",
@@ -140,13 +150,13 @@ fn save_after_remove_before_compact_recovers_identically_on_every_path() {
         &want,
     );
     assert_all_same(
-        "snapshot load vs live",
-        &respond(|q, o| via_snapshot.search(q, o), &queries, k),
+        "checkpoint recovery vs live",
+        &respond(|q, o| via_ckpt.search(q, o), &queries, k),
         &want,
     );
     assert_all_same(
-        "checkpoint recovery vs live",
-        &respond(|q, o| via_ckpt.search(q, o), &queries, k),
+        "cold checkpoint recovery vs live",
+        &respond(|q, o| via_cold.search(q, o), &queries, k),
         &want,
     );
 
@@ -173,7 +183,7 @@ fn save_after_remove_before_compact_recovers_identically_on_every_path() {
     };
     churn(&via_wal);
     churn(&via_ckpt);
-    churn_plain(&mut via_snapshot);
+    churn(&via_cold);
     churn_plain(&mut oracle);
 
     let k = oracle.len();
@@ -189,8 +199,8 @@ fn save_after_remove_before_compact_recovers_identically_on_every_path() {
         &want,
     );
     assert_all_same(
-        "snapshot load after churn",
-        &respond(|q, o| via_snapshot.search(q, o), &queries, k),
+        "cold checkpoint recovery after churn",
+        &respond(|q, o| via_cold.search(q, o), &queries, k),
         &want,
     );
 }

@@ -12,6 +12,9 @@
 //!   construction),
 //! * [`tiny_engine`] — an untrained `FcmConfig::tiny` engine over any
 //!   corpus, at any shard count,
+//! * [`persisted_image`] — the bytes a store checkpoint persists for an
+//!   engine (meta section, live order, every segment), the byte oracle
+//!   of the round-trip and mutation suites,
 //! * [`assert_same_hits`] — the response comparator the equivalence
 //!   suites use: hit-for-hit identity (index, table id, name, order),
 //!   scores within `1e-6`, and identical per-stage provenance,
@@ -46,7 +49,7 @@ pub mod load;
 pub mod repl;
 pub mod scale;
 
-use lcdd_engine::{Engine, EngineBuilder, Query, SearchResponse};
+use lcdd_engine::{persist, Engine, EngineBuilder, Query, SearchResponse};
 use lcdd_fcm::{FcmConfig, FcmModel};
 use lcdd_table::generators::{generate, SeriesFamily};
 use lcdd_table::{Column, Table};
@@ -208,6 +211,24 @@ pub fn tiny_engine(tables: Vec<Table>, n_shards: usize) -> Engine {
         .ingest_tables(tables)
         .build()
         .expect("testkit: tiny engine must build")
+}
+
+/// The engine's persisted image, exactly as a store checkpoint writes its
+/// pieces: the meta section, the global order in compacted slot
+/// coordinates, then one segment per shard. Only live tables appear, so
+/// an engine with pending tombstones has the image of its compacted self.
+/// Panics on codec errors (tests want the backtrace).
+pub fn persisted_image(engine: &Engine) -> Vec<u8> {
+    let state = engine.state();
+    let mut image = persist::meta_bytes(engine).expect("testkit: meta section");
+    for (shard, slot) in persist::live_order(state).expect("testkit: live order") {
+        image.extend_from_slice(&shard.to_le_bytes());
+        image.extend_from_slice(&slot.to_le_bytes());
+    }
+    for shard in 0..engine.n_shards() {
+        image.extend(persist::segment_bytes(state, shard).expect("testkit: segment"));
+    }
+    image
 }
 
 /// Score tolerance for cross-layout comparisons. Scores of the *same*

@@ -1,8 +1,9 @@
 //! The `lcdd_engine` facade end to end: build a corpus, train FCM briefly,
 //! assemble a sharded engine (ingest → encode → shard → index), answer
 //! typed queries with per-stage provenance, mutate the corpus live
-//! (insert/remove without re-encoding the resident tables), snapshot it in
-//! the sharded `LCDDSNP2` format, serve from the restored engine — then
+//! (insert/remove without re-encoding the resident tables), persist it as
+//! a store (`DurableEngine::create`, one segment per shard), serve from
+//! the restored engine (`DurableEngine::open`) — then
 //! wrap it in a `ServingEngine` and query from threads *while* a writer
 //! keeps ingesting (lock-free, epoch-versioned serving). Finally, the
 //! kill-and-recover walkthrough: run the corpus under a durable store
@@ -23,7 +24,7 @@
 
 use linechart_discovery::benchmark::{build_benchmark, train_fcm_on, BenchmarkConfig};
 use linechart_discovery::engine::{
-    Engine, EngineBuilder, IndexStrategy, Query, SearchOptions, SearchResponse, ServingEngine,
+    EngineBuilder, IndexStrategy, Query, SearchOptions, SearchResponse, ServingEngine,
 };
 use linechart_discovery::fcm::{FcmConfig, FcmModel, TrainConfig};
 use linechart_discovery::repl::{
@@ -154,31 +155,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         engine.len()
     );
 
-    // 8. Sharded snapshot round-trip (LCDDSNP2): serving restarts without
-    //    re-encoding; the shard layout is preserved and can be changed
-    //    after restore with `reshard` — answers stay identical.
-    let path = std::env::temp_dir().join("lcdd_search_engine_example.snap");
-    engine.save(&path)?;
-    let mut restored = Engine::load(&path)?;
-    restored.reshard(2)?;
-    let again = restored.search(
-        &Query::Extracted(extracted),
-        &SearchOptions::top_k(5).with_strategy(IndexStrategy::Hybrid),
-    )?;
-    let reference = engine.search(
-        &Query::Extracted(bench.queries[0].input.extracted.clone()),
-        &SearchOptions::top_k(5).with_strategy(IndexStrategy::Hybrid),
-    )?;
+    // 8. Store round-trip: `DurableEngine::create` persists the engine
+    //    (meta section + one segment per shard), `DurableEngine::open`
+    //    restores it without re-encoding; the shard layout is preserved
+    //    and can be changed after restore with `reshard` — answers stay
+    //    identical.
+    let hybrid = SearchOptions::top_k(5).with_strategy(IndexStrategy::Hybrid);
+    let reference = engine.search(&Query::Extracted(extracted.clone()), &hybrid)?;
+    let saved_shards = engine.n_shards();
+    let snap_dir =
+        std::env::temp_dir().join(format!("lcdd_search_engine_snap_{}", std::process::id()));
+    std::fs::remove_dir_all(&snap_dir).ok();
+    drop(DurableEngine::create(
+        &snap_dir,
+        engine,
+        StoreOptions::default(),
+    )?);
+    let on_disk: u64 = std::fs::read_dir(&snap_dir)?
+        .map(|e| Ok(e?.metadata()?.len()))
+        .sum::<std::io::Result<u64>>()?;
+    let (reopened, _) = DurableEngine::open(&snap_dir, StoreOptions::default())?;
+    let mut engine = reopened.into_serving().into_engine();
+    engine.reshard(2)?;
+    let again = engine.search(&Query::Extracted(extracted), &hybrid)?;
     assert_eq!(again.ranked_indices(), reference.ranked_indices());
     println!(
-        "\nsnapshot round-trip OK: {} bytes ({} shards saved, resharded to {} after restore), \
-         identical top-{} ranking",
-        std::fs::metadata(&path)?.len(),
+        "
+store round-trip OK: {on_disk} bytes on disk ({saved_shards} shards saved, \
+         resharded to {} after restore), identical top-{} ranking",
         engine.n_shards(),
-        restored.n_shards(),
         again.hits.len()
     );
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&snap_dir).ok();
 
     // 9. Concurrent serving: wrap the engine in a ServingEngine and let
     //    reader threads hammer it while this thread keeps ingesting.

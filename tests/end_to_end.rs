@@ -3,13 +3,15 @@
 //! corpora come from `lcdd_testkit` (seeded, with planted near-duplicates)
 //! instead of ad-hoc per-file generators.
 
+use lcdd_testkit::crash::TempDir;
 use lcdd_testkit::{assert_same_hits, corpus_with_dups, query_like, tiny_engine, CorpusSpec};
 use linechart_discovery::baselines::{DiscoveryMethod, QetchStar};
 use linechart_discovery::benchmark::{build_benchmark, evaluate, BenchmarkConfig, FcmMethod};
 use linechart_discovery::chart::{render, render_record, ChartStyle};
-use linechart_discovery::engine::{Engine, IndexStrategy, SearchOptions};
+use linechart_discovery::engine::{Engine, IndexStrategy, SearchOptions, SearchResponse};
 use linechart_discovery::fcm::{FcmConfig, FcmModel, TrainConfig};
 use linechart_discovery::relevance::{rel_score, RelevanceConfig};
+use linechart_discovery::store::{DurableEngine, StoreOptions};
 use linechart_discovery::table::series::UnderlyingData;
 use linechart_discovery::table::{build_corpus, CorpusConfig};
 use linechart_discovery::vision::VisualElementExtractor;
@@ -167,7 +169,7 @@ fn index_candidates_preserve_ground_truth_recall() {
 #[test]
 fn sharded_engine_full_lifecycle() {
     // The serving story end to end: build sharded, search, mutate live,
-    // snapshot, restore, reshard — identical answers at every step where
+    // persist, restore, reshard — identical answers at every step where
     // the corpus is the same.
     let (tables, dups) = corpus_with_dups(&CorpusSpec::sized(0xe2e, 9));
     let mut engine = tiny_engine(tables.clone(), 3);
@@ -192,20 +194,37 @@ fn sharded_engine_full_lifecycle() {
     assert!(resp.hits.iter().all(|h| h.index < 9));
     assert!(resp.hits.iter().all(|h| h.table_id != tables[dup].id));
 
-    // Snapshot → restore → reshard: identical answers throughout.
-    let mut buf = Vec::new();
-    engine.save_to(&mut buf).unwrap();
-    let mut restored = Engine::load_from(buf.as_slice()).unwrap();
-    for strategy in IndexStrategy::ALL {
-        let opts = SearchOptions::top_k(5).with_strategy(strategy);
-        let a = engine.search(&query_like(&tables[1]), &opts).unwrap();
-        let b = restored.search(&query_like(&tables[1]), &opts).unwrap();
-        assert_same_hits(&format!("restored, {strategy:?}"), &a, &b);
+    // Persist → restore → reshard: identical answers throughout. The
+    // store consumes the engine, so its answers are recorded first.
+    let q = query_like(&tables[1]);
+    let answers = |e: &Engine| -> Vec<SearchResponse> {
+        IndexStrategy::ALL
+            .iter()
+            .map(|&s| {
+                e.search(&q, &SearchOptions::top_k(5).with_strategy(s))
+                    .unwrap()
+            })
+            .collect()
+    };
+    let want = answers(&engine);
+    let tmp = TempDir::new("e2e-lifecycle");
+    let dir = tmp.subdir("store");
+    drop(DurableEngine::create(&dir, engine, StoreOptions::default()).unwrap());
+    let (reopened, _) = DurableEngine::open(&dir, StoreOptions::default()).unwrap();
+    let mut restored = reopened.into_serving().into_engine();
+    for (strategy, (a, b)) in IndexStrategy::ALL
+        .iter()
+        .zip(want.iter().zip(answers(&restored)))
+    {
+        assert_same_hits(&format!("restored, {strategy:?}"), a, &b);
     }
     restored.reshard(5).unwrap();
-    let a = engine.search(&query_like(&tables[1]), &opts).unwrap();
-    let b = restored.search(&query_like(&tables[1]), &opts).unwrap();
-    assert_same_hits("restored + resharded", &a, &b);
+    for (strategy, (a, b)) in IndexStrategy::ALL
+        .iter()
+        .zip(want.iter().zip(answers(&restored)))
+    {
+        assert_same_hits(&format!("restored + resharded, {strategy:?}"), a, &b);
+    }
 }
 
 #[test]
